@@ -71,7 +71,7 @@ lint:
 # documented home). Exit code 2 = teclint itself failed to load the
 # tree; 1 = findings beyond the baseline; 0 = clean.
 lint-json:
-	$(GO) run ./cmd/teclint -json -baseline teclint.baseline.json ./... > teclint.json; \
+	$(GO) run ./cmd/teclint -format=json -baseline teclint.baseline.json ./... > teclint.json; \
 	status=$$?; cat teclint.json; exit $$status
 
 # SARIF 2.1.0 report for code-scanning UIs; CI uploads teclint.sarif
@@ -141,4 +141,4 @@ trace-golden:
 	$(GO) test -count=1 -run TestMapTasksCtxFlight ./internal/engine
 
 # The full gate, in the order CI runs it.
-check: build vet lint lint-fixtures test race chaos serve-chaos serve-smoke
+check: build vet lint lint-fixtures test trace-golden race chaos serve-chaos serve-smoke

@@ -15,17 +15,15 @@
 // Flags:
 //
 //	-rules         list the analyzers and exit
-//	-json          emit findings as a JSON array instead of text
-//	-format FMT    output format: text (default), json, or sarif
-//	               (SARIF 2.1.0, the interchange format code-scanning
-//	               dashboards ingest; -json is shorthand for
-//	               -format=json)
+//	-format FMT    output format: text (default), json (a sorted
+//	               array of findings), or sarif (SARIF 2.1.0, the
+//	               interchange format code-scanning dashboards ingest)
 //	-baseline F    suppress findings recorded in the JSON baseline file F
 //	-parallel N    run analyzers over N packages concurrently
 //	               (0 = all cores, 1 = serial; output is identical)
 //	-stats         report per-analyzer wall time and finding counts
-//	               (a table on stderr; with -json the output becomes a
-//	               {"findings":..., "stats":...} object)
+//	               (a table on stderr; with -format=json the output
+//	               becomes a {"findings":..., "stats":...} object)
 //	-expect F      compare per-rule finding counts against the JSON
 //	               object {"rule": count, ...} in F: exit 0 iff they
 //	               match exactly. The CI fixture gate uses this to catch
@@ -66,83 +64,121 @@ func loadFailure(op string, err error) error {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("teclint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	listRules := fs.Bool("rules", false, "list the analyzers and exit")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
-	format := fs.String("format", "", "output format: text, json, or sarif (-json is shorthand for -format=json)")
-	baselinePath := fs.String("baseline", "", "JSON baseline file of findings to suppress")
-	parallel := fs.Int("parallel", 0, "packages analyzed concurrently (0 = all cores, 1 = serial)")
-	withStats := fs.Bool("stats", false, "report per-analyzer wall time and finding counts")
-	expectPath := fs.String("expect", "", "JSON file of expected per-rule finding counts; exit 0 iff they match")
-	logFlags := obs.BindLogFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	opts, ok := parseFlags(args, stderr)
+	if !ok {
 		return 2
 	}
-	restoreLog, err := logFlags.Install(stderr)
+	restoreLog, err := opts.log.Install(stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "teclint:", err)
 		return 2
 	}
 	defer restoreLog()
-	outFormat := *format
-	if outFormat == "" {
-		outFormat = "text"
-		if *asJSON {
-			outFormat = "json"
-		}
-	}
-	switch outFormat {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(stderr, "teclint: unknown -format %q (want text, json, or sarif)\n", outFormat)
-		return 2
-	}
-	analyzers := lint.All()
-	if *listRules {
-		for _, a := range analyzers {
+	if opts.listRules {
+		for _, a := range lint.All() {
 			fmt.Fprintf(stdout, "%-13s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(stderr, "teclint:", err)
 		return tecerr.ExitCode(loadFailure("getwd", err))
 	}
-	root, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		fmt.Fprintln(stderr, "teclint:", err)
-		return tecerr.ExitCode(loadFailure("module root", err))
-	}
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		fmt.Fprintln(stderr, "teclint:", err)
-		return tecerr.ExitCode(loadFailure("loader", err))
-	}
-
-	dirs, err := resolvePatterns(patterns, cwd)
-	if err != nil {
-		fmt.Fprintln(stderr, "teclint:", err)
-		return tecerr.ExitCode(loadFailure("resolving patterns", err))
-	}
-	var stats *lint.StatsCollector
-	if *withStats {
-		stats = lint.NewStatsCollector()
-	}
-	diags, err := lint.LintDirsParallelStats(loader, dirs, analyzers, cwd, *parallel, stats)
+	units, err := load(opts.patterns, cwd)
 	if err != nil {
 		fmt.Fprintln(stderr, "teclint:", err)
 		return tecerr.ExitCode(loadFailure("loading packages", err))
 	}
+	return report(units, cwd, opts, stdout, stderr)
+}
 
-	if *baselinePath != "" {
-		baseline, err := readBaseline(*baselinePath)
+// options is the parsed command line.
+type options struct {
+	listRules    bool
+	format       string
+	baselinePath string
+	parallel     int
+	stats        bool
+	expectPath   string
+	log          *obs.LogFlags
+	patterns     []string
+}
+
+// parseFlags parses the command line, reporting usage errors on
+// stderr; ok is false when the process should exit 2.
+func parseFlags(args []string, stderr io.Writer) (opts *options, ok bool) {
+	fs := flag.NewFlagSet("teclint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	opts = &options{}
+	fs.BoolVar(&opts.listRules, "rules", false, "list the analyzers and exit")
+	fs.StringVar(&opts.format, "format", "text", "output format: text, json, or sarif")
+	fs.StringVar(&opts.baselinePath, "baseline", "", "JSON baseline file of findings to suppress")
+	fs.IntVar(&opts.parallel, "parallel", 0, "packages analyzed concurrently (0 = all cores, 1 = serial)")
+	fs.BoolVar(&opts.stats, "stats", false, "report per-analyzer wall time and finding counts")
+	fs.StringVar(&opts.expectPath, "expect", "", "JSON file of expected per-rule finding counts; exit 0 iff they match")
+	opts.log = obs.BindLogFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, false
+	}
+	switch opts.format {
+	case "text", "json", "sarif":
+	default:
+		fmt.Fprintf(stderr, "teclint: unknown -format %q (want text, json, or sarif)\n", opts.format)
+		return nil, false
+	}
+	opts.patterns = fs.Args()
+	if len(opts.patterns) == 0 {
+		opts.patterns = []string{"./..."}
+	}
+	return opts, true
+}
+
+// load resolves package patterns against cwd and parses and
+// type-checks every package they name, in-package and external tests
+// included. Loading is serial: the Loader mutates its package cache.
+func load(patterns []string, cwd string) ([]*lint.Unit, error) {
+	root, err := lint.FindModuleRoot(cwd)
+	if err != nil {
+		return nil, err
+	}
+	loader, err := lint.NewLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	dirs, err := resolvePatterns(patterns, cwd)
+	if err != nil {
+		return nil, err
+	}
+	var units []*lint.Unit
+	for _, dir := range dirs {
+		us, err := loader.Load(dir)
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, us...)
+	}
+	return units, nil
+}
+
+// report runs the analyzers over the loaded units, applies the
+// baseline, writes the findings in the requested format, and returns
+// the exit code: the finding count against -expect when given, else 1
+// for any surviving finding. File names print relative to base.
+func report(units []*lint.Unit, base string, opts *options, stdout, stderr io.Writer) int {
+	analyzers := lint.All()
+	var stats *lint.StatsCollector
+	if opts.stats {
+		stats = lint.NewStatsCollector()
+	}
+	diags, err := lint.LintUnits(units, analyzers, base, opts.parallel, stats)
+	if err != nil {
+		fmt.Fprintln(stderr, "teclint:", err)
+		return tecerr.ExitCode(loadFailure("analyzing packages", err))
+	}
+
+	if opts.baselinePath != "" {
+		baseline, err := readBaseline(opts.baselinePath)
 		if err != nil {
 			fmt.Fprintln(stderr, "teclint:", err)
 			return tecerr.ExitCode(loadFailure("reading baseline", err))
@@ -150,7 +186,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags = filterBaseline(diags, baseline)
 	}
 
-	switch outFormat {
+	switch opts.format {
 	case "json":
 		if err := writeJSON(stdout, diags, stats); err != nil {
 			fmt.Fprintln(stderr, "teclint:", err)
@@ -169,8 +205,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		writeStatsTable(stderr, stats)
 	}
 
-	if *expectPath != "" {
-		expected, err := readExpected(*expectPath)
+	if opts.expectPath != "" {
+		expected, err := readExpected(opts.expectPath)
 		if err != nil {
 			fmt.Fprintln(stderr, "teclint:", err)
 			return tecerr.ExitCode(loadFailure("reading expected counts", err))
@@ -181,7 +217,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return 1
 		}
-		fmt.Fprintf(stderr, "teclint: finding counts match %s\n", *expectPath)
+		fmt.Fprintf(stderr, "teclint: finding counts match %s\n", opts.expectPath)
 		return 0
 	}
 	if len(diags) > 0 {
@@ -192,7 +228,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // Finding is the JSON shape of one diagnostic, stable for tooling: the
-// same struct round-trips baselines and the -json output.
+// same struct round-trips baselines and the -format=json output.
 type Finding struct {
 	File    string `json:"file"`
 	Line    int    `json:"line"`
@@ -297,7 +333,7 @@ type baselineKey struct {
 	msg  string
 }
 
-// readBaseline parses a -json findings array into a suppression
+// readBaseline parses a -format=json findings array into a suppression
 // multiset: two identical findings in a file need two baseline entries.
 func readBaseline(path string) (map[baselineKey]int, error) {
 	data, err := os.ReadFile(path)

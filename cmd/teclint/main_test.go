@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,7 +24,6 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 var fixturePatterns = []string{
 	"internal/lint/testdata/badignore",
 	"internal/lint/testdata/cachegen",
-	"internal/lint/testdata/chanflow",
 	"internal/lint/testdata/ctxflow",
 	"internal/lint/testdata/dimflow",
 	"internal/lint/testdata/droppederr",
@@ -30,28 +31,77 @@ var fixturePatterns = []string{
 	"internal/lint/testdata/floateq",
 	"internal/lint/testdata/goroleak",
 	"internal/lint/testdata/lockbalance",
-	"internal/lint/testdata/lockcopy",
 	"internal/lint/testdata/maporder",
-	"internal/lint/testdata/mutexblock",
 	"internal/lint/testdata/nanflow",
 	"internal/lint/testdata/obsclock",
-	"internal/lint/testdata/oncemisuse",
-	"internal/lint/testdata/spawnctx",
 	"internal/lint/testdata/testhelper",
 	"internal/lint/testdata/typederr",
 	"internal/lint/testdata/unitsanity",
 	"internal/lint/testdata/validatefirst",
-	"internal/lint/testdata/wgbalance",
 }
 
-// runAtRoot invokes the teclint driver from the module root and returns
-// (exit code, stdout, stderr).
+// runAtRoot invokes the whole teclint driver — flag parsing, a fresh
+// load and type-check, analysis, output — from the module root and
+// returns (exit code, stdout, stderr).
 func runAtRoot(t *testing.T, args []string) (int, string, string) {
 	t.Helper()
 	chdir(t, moduleRoot(t))
 	var stdout, stderr bytes.Buffer
 	code := run(args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
+}
+
+// fixtureLoad holds the fixture packages, loaded and type-checked once
+// per test binary by the driver's own load stage. Type-checking pulls
+// in the standard library from GOROOT source and dominates a driver
+// run; the analyzers and every output flag are cheap by comparison.
+var fixtureLoad struct {
+	once  sync.Once
+	units []*lint.Unit
+	err   error
+}
+
+// lintFixtures runs the driver's flag parsing, analysis and output
+// stages with args over the shared fixture units, from the module root
+// (so relative -baseline/-expect paths resolve as in `make`), and
+// returns (exit code, stdout, stderr).
+func lintFixtures(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	root := moduleRoot(t)
+	fixtureLoad.once.Do(func() {
+		fixtureLoad.units, fixtureLoad.err = load(fixturePatterns, root)
+	})
+	if fixtureLoad.err != nil {
+		t.Fatalf("loading fixtures: %v", fixtureLoad.err)
+	}
+	opts, ok := parseFlags(args, io.Discard)
+	if !ok {
+		t.Fatalf("bad flags %q", args)
+	}
+	chdir(t, root)
+	var stdout, stderr bytes.Buffer
+	code := report(fixtureLoad.units, root, opts, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// repoSweep is the whole-module serial sweep through the full driver,
+// run and timed once per test binary: the lint-clean gate and the
+// wall-time budget read the same run.
+var repoSweep struct {
+	once           sync.Once
+	code           int
+	stdout, stderr string
+	elapsed        time.Duration
+}
+
+func serialRepoSweep(t *testing.T) (code int, stdout, stderr string, elapsed time.Duration) {
+	t.Helper()
+	repoSweep.once.Do(func() {
+		start := time.Now()
+		repoSweep.code, repoSweep.stdout, repoSweep.stderr = runAtRoot(t, []string{"-parallel", "1", "./..."})
+		repoSweep.elapsed = time.Since(start)
+	})
+	return repoSweep.code, repoSweep.stdout, repoSweep.stderr, repoSweep.elapsed
 }
 
 // chdir changes the working directory for the duration of the test.
@@ -95,7 +145,7 @@ func TestGoldenOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr := runAtRoot(t, fixturePatterns)
+	code, stdout, stderr := lintFixtures(t)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1 (fixtures seed violations); stderr:\n%s", code, stderr)
 	}
@@ -119,11 +169,13 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
-// TestOutputDeterministic runs the driver twice over the same inputs and
-// demands byte-identical output: map iteration or goroutine scheduling
-// must never leak into the diagnostic stream.
+// TestOutputDeterministic runs the whole driver, with its own fresh
+// load, over the fixtures and demands output byte-identical to the
+// shared-load run the golden tests pin: map iteration, goroutine
+// scheduling or type-checker state must never leak into the
+// diagnostic stream.
 func TestOutputDeterministic(t *testing.T) {
-	_, first, _ := runAtRoot(t, fixturePatterns)
+	_, first, _ := lintFixtures(t)
 	_, second, _ := runAtRoot(t, fixturePatterns)
 	if first != second {
 		t.Errorf("two runs differ\n--- first ---\n%s--- second ---\n%s", first, second)
@@ -133,7 +185,7 @@ func TestOutputDeterministic(t *testing.T) {
 // TestOutputSorted verifies the documented ordering contract directly:
 // findings are grouped by file and nondecreasing by line within a file.
 func TestOutputSorted(t *testing.T) {
-	_, stdout, _ := runAtRoot(t, fixturePatterns)
+	_, stdout, _ := lintFixtures(t)
 	lines := strings.Split(strings.TrimRight(stdout, "\n"), "\n")
 	if len(lines) < 2 {
 		t.Fatalf("expected multiple findings, got %d line(s)", len(lines))
@@ -159,7 +211,7 @@ func TestOutputSorted(t *testing.T) {
 // TestRepoLintsClean is the self-hosting gate: the production tree must
 // produce zero diagnostics under its own analyzers.
 func TestRepoLintsClean(t *testing.T) {
-	code, stdout, stderr := runAtRoot(t, []string{"./..."})
+	code, stdout, stderr, _ := serialRepoSweep(t)
 	if code != 0 || stdout != "" {
 		t.Fatalf("repository is not lint-clean (exit %d):\n%s%s", code, stdout, stderr)
 	}
@@ -167,9 +219,8 @@ func TestRepoLintsClean(t *testing.T) {
 
 // lintWallBudget caps the whole-module serial sweep at twice the
 // 16-analyzer snapshot recorded in EXPERIMENTS.md (8.39 s on the
-// single-CPU reference container). The five concurrency analyzers and
-// their summary harvest ride the same CFG/dataflow machinery, so the
-// suite must not double the gate's cost; a regression here means an
+// single-CPU reference container). Every analyzer rides the same
+// CFG/dataflow and summary machinery, so a regression here means an
 // analyzer went super-linear, not that the machine is slow — the
 // budget already assumes the slowest container measured.
 const lintWallBudget = 2 * 8390 * time.Millisecond // 2 x 8.39 s
@@ -180,9 +231,7 @@ func TestLintWallTimeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short mode")
 	}
-	start := time.Now()
-	code, stdout, stderr := runAtRoot(t, []string{"-parallel", "1", "./..."})
-	elapsed := time.Since(start)
+	code, stdout, stderr, elapsed := serialRepoSweep(t)
 	if code != 0 {
 		t.Fatalf("repo sweep failed (exit %d):\n%s%s", code, stdout, stderr)
 	}
@@ -192,7 +241,7 @@ func TestLintWallTimeBudget(t *testing.T) {
 	t.Logf("serial whole-module lint: %v (budget %v)", elapsed.Round(time.Millisecond), lintWallBudget)
 }
 
-// TestJSONGolden pins the -json stream for the fixture packages: a
+// TestJSONGolden pins the -format=json stream for the fixture packages: a
 // sorted, indented array in the documented Finding shape. Run with
 // -update to regenerate testdata/golden.json.
 func TestJSONGolden(t *testing.T) {
@@ -200,7 +249,7 @@ func TestJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr := runAtRoot(t, append([]string{"-json"}, fixturePatterns...))
+	code, stdout, stderr := lintFixtures(t, "-format=json")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr)
 	}
@@ -216,7 +265,7 @@ func TestJSONGolden(t *testing.T) {
 		t.Fatalf("read golden file (run with -update to create): %v", err)
 	}
 	if stdout != string(golden) {
-		t.Errorf("-json output differs from golden file\n--- got ---\n%s--- want ---\n%s", stdout, golden)
+		t.Errorf("-format=json output differs from golden file\n--- got ---\n%s--- want ---\n%s", stdout, golden)
 	}
 }
 
@@ -229,7 +278,7 @@ func TestSARIFGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr := runAtRoot(t, append([]string{"-format", "sarif"}, fixturePatterns...))
+	code, stdout, stderr := lintFixtures(t, "-format", "sarif")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr)
 	}
@@ -254,7 +303,7 @@ func TestSARIFGolden(t *testing.T) {
 // ruleIndex into the rule catalog, locations carry slash-separated
 // relative URIs, and the result count matches the text output.
 func TestSARIFShape(t *testing.T) {
-	_, sarifOut, _ := runAtRoot(t, append([]string{"-format", "sarif"}, fixturePatterns...))
+	_, sarifOut, _ := lintFixtures(t, "-format", "sarif")
 	var log struct {
 		Version string `json:"version"`
 		Runs    []struct {
@@ -309,7 +358,7 @@ func TestSARIFShape(t *testing.T) {
 			t.Errorf("rule catalog missing analyzer %s", a.Name)
 		}
 	}
-	_, textOut, _ := runAtRoot(t, fixturePatterns)
+	_, textOut, _ := lintFixtures(t)
 	textLines := strings.Split(strings.TrimRight(textOut, "\n"), "\n")
 	if len(run.Results) != len(textLines) {
 		t.Fatalf("SARIF has %d results, text has %d findings", len(run.Results), len(textLines))
@@ -336,19 +385,19 @@ func TestSARIFShape(t *testing.T) {
 	}
 }
 
-// TestJSONRoundTrip decodes the -json stream with encoding/json and
+// TestJSONRoundTrip decodes the -format=json stream with encoding/json and
 // checks it carries the same findings, in the same order, as the text
 // output.
 func TestJSONRoundTrip(t *testing.T) {
-	_, jsonOut, _ := runAtRoot(t, append([]string{"-json"}, fixturePatterns...))
+	_, jsonOut, _ := lintFixtures(t, "-format=json")
 	var findings []Finding
 	if err := json.Unmarshal([]byte(jsonOut), &findings); err != nil {
-		t.Fatalf("-json output does not round-trip: %v", err)
+		t.Fatalf("-format=json output does not round-trip: %v", err)
 	}
 	if len(findings) == 0 {
 		t.Fatal("no findings decoded; fixtures seed violations")
 	}
-	_, textOut, _ := runAtRoot(t, fixturePatterns)
+	_, textOut, _ := lintFixtures(t)
 	textLines := strings.Split(strings.TrimRight(textOut, "\n"), "\n")
 	if len(findings) != len(textLines) {
 		t.Fatalf("JSON has %d findings, text has %d lines", len(findings), len(textLines))
@@ -363,9 +412,9 @@ func TestJSONRoundTrip(t *testing.T) {
 		}
 	}
 	// A second run must be byte-stable.
-	_, again, _ := runAtRoot(t, append([]string{"-json"}, fixturePatterns...))
+	_, again, _ := lintFixtures(t, "-format=json")
 	if jsonOut != again {
-		t.Error("-json output is not stable across runs")
+		t.Error("-format=json output is not stable across runs")
 	}
 }
 
@@ -373,9 +422,9 @@ func TestJSONRoundTrip(t *testing.T) {
 // worker count: index-ordered collection plus the global sort must hide
 // goroutine scheduling completely.
 func TestParallelMatchesSerial(t *testing.T) {
-	_, serial, _ := runAtRoot(t, append([]string{"-parallel", "1"}, fixturePatterns...))
+	_, serial, _ := lintFixtures(t, "-parallel", "1")
 	for _, workers := range []string{"2", "8", "0"} {
-		_, parallel, _ := runAtRoot(t, append([]string{"-parallel", workers}, fixturePatterns...))
+		_, parallel, _ := lintFixtures(t, "-parallel", workers)
 		if parallel != serial {
 			t.Errorf("-parallel=%s output differs from serial\n--- parallel ---\n%s--- serial ---\n%s", workers, parallel, serial)
 		}
@@ -386,12 +435,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 // and reruns against it: everything suppressed, exit 0. A partial
 // baseline must leave the rest standing.
 func TestBaselineSuppression(t *testing.T) {
-	_, jsonOut, _ := runAtRoot(t, append([]string{"-json"}, fixturePatterns...))
+	_, jsonOut, _ := lintFixtures(t, "-format=json")
 	baseline := filepath.Join(t.TempDir(), "baseline.json")
 	if err := os.WriteFile(baseline, []byte(jsonOut), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr := runAtRoot(t, append([]string{"-baseline", baseline}, fixturePatterns...))
+	code, stdout, stderr := lintFixtures(t, "-baseline", baseline)
 	if code != 0 || stdout != "" {
 		t.Fatalf("full baseline: exit %d, output:\n%s%s", code, stdout, stderr)
 	}
@@ -407,7 +456,7 @@ func TestBaselineSuppression(t *testing.T) {
 	if err := os.WriteFile(baseline, partial, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, _ = runAtRoot(t, append([]string{"-baseline", baseline}, fixturePatterns...))
+	code, stdout, _ = lintFixtures(t, "-baseline", baseline)
 	if code != 1 {
 		t.Fatalf("partial baseline: exit %d, want 1", code)
 	}
@@ -421,7 +470,7 @@ func TestBaselineSuppression(t *testing.T) {
 	if err := os.WriteFile(baseline, []byte("[]\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, _ = runAtRoot(t, append([]string{"-baseline", baseline}, fixturePatterns...))
+	code, stdout, _ = lintFixtures(t, "-baseline", baseline)
 	if code != 1 || stdout == "" {
 		t.Fatalf("empty baseline: exit %d, want 1 with findings", code)
 	}
@@ -430,20 +479,24 @@ func TestBaselineSuppression(t *testing.T) {
 	if err := os.WriteFile(baseline, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, _, stderr = runAtRoot(t, append([]string{"-baseline", baseline}, fixturePatterns...))
+	code, _, stderr = lintFixtures(t, "-baseline", baseline)
 	if code != 2 {
 		t.Fatalf("malformed baseline: exit %d, want 2; stderr:\n%s", code, stderr)
 	}
 }
 
 // TestExitCodeContract pins the three-way exit contract: clean tree 0,
-// findings 1, load/type-check failure 2 (tecerr.CodeInvalidInput).
+// findings 1, load/type-check failure or flag misuse 2
+// (tecerr.CodeInvalidInput).
 func TestExitCodeContract(t *testing.T) {
-	if code, _, stderr := runAtRoot(t, []string{"internal/tecerr"}); code != 0 {
-		t.Errorf("clean package: exit %d, want 0; stderr:\n%s", code, stderr)
+	if code, _, stderr, _ := serialRepoSweep(t); code != 0 {
+		t.Errorf("clean tree: exit %d, want 0; stderr:\n%s", code, stderr)
 	}
-	if code, _, _ := runAtRoot(t, fixturePatterns[:1]); code != 1 {
-		t.Errorf("fixture package: exit code != 1")
+	if code, _, _ := lintFixtures(t); code != 1 {
+		t.Errorf("fixture packages: exit %d, want 1", code)
+	}
+	if code, _, _ := runAtRoot(t, []string{"-format", "xml"}); code != 2 {
+		t.Errorf("unknown -format: exit %d, want 2", code)
 	}
 	code, stdout, stderr := runAtRoot(t, []string{"cmd/teclint/testdata/broken"})
 	if code != 2 {
@@ -458,12 +511,12 @@ func TestExitCodeContract(t *testing.T) {
 }
 
 // TestStatsFlag checks the per-analyzer accounting: text mode keeps
-// stdout byte-identical and prints the table on stderr; -json mode
+// stdout byte-identical and prints the table on stderr; -format=json mode
 // wraps findings and stats in one object with a row for every
 // registered analyzer.
 func TestStatsFlag(t *testing.T) {
-	_, plain, _ := runAtRoot(t, fixturePatterns)
-	code, stdout, stderr := runAtRoot(t, append([]string{"-stats"}, fixturePatterns...))
+	_, plain, _ := lintFixtures(t)
+	code, stdout, stderr := lintFixtures(t, "-stats")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
@@ -474,13 +527,13 @@ func TestStatsFlag(t *testing.T) {
 		t.Errorf("-stats stderr missing the table:\n%s", stderr)
 	}
 
-	_, jsonOut, _ := runAtRoot(t, append([]string{"-stats", "-json"}, fixturePatterns...))
+	_, jsonOut, _ := lintFixtures(t, "-stats", "-format=json")
 	var payload struct {
 		Findings []Finding `json:"findings"`
 		Stats    []lint.AnalyzerStat
 	}
 	if err := json.Unmarshal([]byte(jsonOut), &payload); err != nil {
-		t.Fatalf("-stats -json output does not decode: %v", err)
+		t.Fatalf("-stats -format=json output does not decode: %v", err)
 	}
 	if len(payload.Findings) == 0 {
 		t.Error("stats payload carries no findings")
@@ -503,7 +556,7 @@ func TestStatsFlag(t *testing.T) {
 // even though findings exist; a stale count or a dead analyzer (zero
 // where findings are expected) exits 1 naming the rule.
 func TestExpectFlag(t *testing.T) {
-	_, jsonOut, _ := runAtRoot(t, append([]string{"-json"}, fixturePatterns...))
+	_, jsonOut, _ := lintFixtures(t, "-format=json")
 	var findings []Finding
 	if err := json.Unmarshal([]byte(jsonOut), &findings); err != nil {
 		t.Fatal(err)
@@ -525,7 +578,7 @@ func TestExpectFlag(t *testing.T) {
 		return path
 	}
 
-	code, _, stderr := runAtRoot(t, append([]string{"-expect", writeCounts(counts)}, fixturePatterns...))
+	code, _, stderr := lintFixtures(t, "-expect", writeCounts(counts))
 	if code != 0 {
 		t.Fatalf("matching counts: exit %d, want 0; stderr:\n%s", code, stderr)
 	}
@@ -535,7 +588,7 @@ func TestExpectFlag(t *testing.T) {
 		bad[r] = n
 	}
 	bad["dimflow"]++
-	code, _, stderr = runAtRoot(t, append([]string{"-expect", writeCounts(bad)}, fixturePatterns...))
+	code, _, stderr = lintFixtures(t, "-expect", writeCounts(bad))
 	if code != 1 {
 		t.Fatalf("stale counts: exit %d, want 1", code)
 	}
@@ -544,7 +597,7 @@ func TestExpectFlag(t *testing.T) {
 	}
 
 	// The expected-counts file mirrors what the checked-in CI gate uses.
-	code, _, stderr = runAtRoot(t, append([]string{"-expect", filepath.Join("cmd", "teclint", "testdata", "fixture_counts.json")}, fixturePatterns...))
+	code, _, stderr = lintFixtures(t, "-expect", filepath.Join("cmd", "teclint", "testdata", "fixture_counts.json"))
 	if code != 0 {
 		t.Fatalf("checked-in fixture_counts.json is stale: exit %d; stderr:\n%s", code, stderr)
 	}
@@ -556,7 +609,7 @@ func TestRulesFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-rules exit code = %d", code)
 	}
-	for _, rule := range []string{"cachegen", "chanflow", "ctxflow", "dimflow", "droppederr", "errpath", "floateq", "goroleak", "lockbalance", "lockcopy", "maporder", "mutexblock", "nanflow", "obsclock", "oncemisuse", "spawnctx", "testhelper", "typederr", "unitsanity", "validatefirst", "wgbalance"} {
+	for _, rule := range []string{"cachegen", "ctxflow", "dimflow", "droppederr", "errpath", "floateq", "goroleak", "lockbalance", "maporder", "nanflow", "obsclock", "testhelper", "typederr", "unitsanity", "validatefirst"} {
 		if !strings.Contains(stdout, rule) {
 			t.Errorf("-rules output missing %q:\n%s", rule, stdout)
 		}

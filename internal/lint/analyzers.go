@@ -6,7 +6,6 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{
 		CacheGen,
-		ChanFlow,
 		CtxFlow,
 		DimFlow,
 		DroppedErr,
@@ -14,17 +13,12 @@ func All() []*Analyzer {
 		FloatEq,
 		GoroLeak,
 		LockBalance,
-		LockCopy,
 		MapOrder,
-		MutexBlock,
 		NaNFlow,
 		ObsClock,
-		OnceMisuse,
-		SpawnCtx,
 		TestHelper,
 		TypedErr,
 		UnitSanity,
 		ValidateFirst,
-		WGBalance,
 	}
 }

@@ -50,11 +50,6 @@ type Block struct {
 	Nodes []ast.Node
 	// Succs are the possible control-flow successors.
 	Succs []*Block
-	// Loop is the loop statement this block heads (*ast.ForStmt or
-	// *ast.RangeStmt), nil for every other block. It lets loop-shaped
-	// analyses (spawnctx's unobserved-cycle check) map a syntactic loop
-	// to its header without re-deriving the builder's block layout.
-	Loop ast.Stmt
 }
 
 // CFG is the control-flow graph of one function body.
@@ -351,7 +346,6 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt) {
 		b.stmt(s.Init)
 	}
 	head := b.newBlock("for.head")
-	head.Loop = s
 	b.edge(b.cur, head)
 	if s.Cond != nil {
 		head.Nodes = append(head.Nodes, s.Cond)
@@ -387,7 +381,6 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt) {
 
 func (b *cfgBuilder) rangeStmt(s *ast.RangeStmt) {
 	head := b.newBlock("range.head")
-	head.Loop = s
 	b.edge(b.cur, head)
 	// The RangeStmt node itself carries the per-iteration Key/Value
 	// bindings and the ranged expression X; transfer functions treat it

@@ -383,10 +383,11 @@ func FuzzCFG(f *testing.F) {
 		"L: for { goto L }",
 		"defer f()\npanic(\"boom\")",
 		"goto missing",
-		// Channel-op shapes the concurrency analyzers walk: sends,
-		// closes, range-over-channel (whose head block carries the
-		// whole RangeStmt), and comm clauses detached into
-		// select.case blocks.
+		// Channel-op and WaitGroup shapes from the gate, coalescer and
+		// worker-pool code the CFG must still build: sends, closes,
+		// range-over-channel (whose head block carries the whole
+		// RangeStmt), and comm clauses detached into select.case
+		// blocks.
 		"ch := make(chan int)\nch <- 1\nclose(ch)",
 		"for v := range ch { ch2 <- v }",
 		"select { case ch <- 1: case v := <-ch2: _ = v\ncase <-done: return }",

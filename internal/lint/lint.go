@@ -109,15 +109,10 @@ func (d Diagnostic) String() string {
 // Run applies each analyzer to the unit and returns the surviving
 // findings: suppressed diagnostics (teclint:ignore directives) are
 // filtered out, and the rest are sorted by file, line, column, rule so
-// output is deterministic across runs.
-func Run(unit *Unit, analyzers []*Analyzer) []Diagnostic {
-	return RunStats(unit, analyzers, nil)
-}
-
-// RunStats is Run with per-analyzer accounting: each analyzer's wall
-// time and surviving finding count accumulate into stats (nil skips
-// collection entirely).
-func RunStats(unit *Unit, analyzers []*Analyzer, stats *StatsCollector) []Diagnostic {
+// output is deterministic across runs. Each analyzer's wall time and
+// surviving finding count accumulate into stats (nil skips collection
+// entirely).
+func Run(unit *Unit, analyzers []*Analyzer, stats *StatsCollector) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{

@@ -76,7 +76,7 @@ func runFixture(t *testing.T, a *Analyzer) {
 	}
 	got := make(map[string]bool)
 	for _, unit := range units {
-		for _, d := range Run(unit, []*Analyzer{a}) {
+		for _, d := range Run(unit, []*Analyzer{a}, nil) {
 			key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
 			if got[key] {
 				t.Errorf("duplicate finding at %s", key)
@@ -102,7 +102,6 @@ func runFixture(t *testing.T, a *Analyzer) {
 
 func TestFloatEqFixture(t *testing.T)       { runFixture(t, FloatEq) }
 func TestDroppedErrFixture(t *testing.T)    { runFixture(t, DroppedErr) }
-func TestLockCopyFixture(t *testing.T)      { runFixture(t, LockCopy) }
 func TestMapOrderFixture(t *testing.T)      { runFixture(t, MapOrder) }
 func TestObsClockFixture(t *testing.T)      { runFixture(t, ObsClock) }
 func TestTestHelperFixture(t *testing.T)    { runFixture(t, TestHelper) }
@@ -116,11 +115,6 @@ func TestDimFlowFixture(t *testing.T)       { runFixture(t, DimFlow) }
 func TestNaNFlowFixture(t *testing.T)       { runFixture(t, NaNFlow) }
 func TestGoroLeakFixture(t *testing.T)      { runFixture(t, GoroLeak) }
 func TestCacheGenFixture(t *testing.T)      { runFixture(t, CacheGen) }
-func TestChanFlowFixture(t *testing.T)      { runFixture(t, ChanFlow) }
-func TestWGBalanceFixture(t *testing.T)     { runFixture(t, WGBalance) }
-func TestMutexBlockFixture(t *testing.T)    { runFixture(t, MutexBlock) }
-func TestOnceMisuseFixture(t *testing.T)    { runFixture(t, OnceMisuse) }
-func TestSpawnCtxFixture(t *testing.T)      { runFixture(t, SpawnCtx) }
 
 // TestBadIgnoreFixture exercises the framework-level badignore
 // pseudo-rule: reasonless teclint:ignore directives are reported by Run
@@ -137,7 +131,7 @@ func TestBadIgnoreFixture(t *testing.T) {
 	}
 	got := make(map[string]bool)
 	for _, unit := range units {
-		for _, d := range Run(unit, nil) {
+		for _, d := range Run(unit, nil, nil) {
 			if d.Rule != BadIgnoreRule {
 				t.Errorf("unexpected rule %q at %s:%d", d.Rule, d.Pos.Filename, d.Pos.Line)
 				continue
@@ -176,7 +170,7 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 		}
 	}
 	sort.Strings(names)
-	want := []string{"cachegen", "chanflow", "ctxflow", "dimflow", "droppederr", "errpath", "floateq", "goroleak", "lockbalance", "lockcopy", "maporder", "mutexblock", "nanflow", "obsclock", "oncemisuse", "spawnctx", "testhelper", "typederr", "unitsanity", "validatefirst", "wgbalance"}
+	want := []string{"cachegen", "ctxflow", "dimflow", "droppederr", "errpath", "floateq", "goroleak", "lockbalance", "maporder", "nanflow", "obsclock", "testhelper", "typederr", "unitsanity", "validatefirst"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("registered analyzers = %v, want %v", names, want)
 	}

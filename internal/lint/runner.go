@@ -7,45 +7,25 @@ import (
 	"tecopt/internal/engine"
 )
 
-// LintDirs type-checks every package directory in dirs and runs the
-// analyzers over each unit (package + in-package tests, plus any
-// external _test package). Findings come back globally sorted by
-// file:line:column:rule, with filenames rewritten relative to base
-// (when non-empty) so output is stable regardless of where the tool
-// runs from.
-func LintDirs(loader *Loader, dirs []string, analyzers []*Analyzer, base string) ([]Diagnostic, error) {
-	return LintDirsParallel(loader, dirs, analyzers, base, 1)
-}
-
-// LintDirsParallel is LintDirs with the analyzer runs spread over
-// workers goroutines (engine.Pool semantics: <=0 means GOMAXPROCS, 1 is
-// serial). Loading and type-checking stay serial — the Loader mutates
-// its package cache — but a loaded Unit is immutable, the shared
-// FactStore is internally locked, and token.FileSet position lookups
-// are safe concurrently, so Run can fan out per unit. Results are
-// collected by index and then globally sorted, making the output
-// byte-identical to the serial run for any worker count.
-func LintDirsParallel(loader *Loader, dirs []string, analyzers []*Analyzer, base string, workers int) ([]Diagnostic, error) {
-	return LintDirsParallelStats(loader, dirs, analyzers, base, workers, nil)
-}
-
-// LintDirsParallelStats is LintDirsParallel with per-analyzer timing
-// and finding counts accumulated into stats (nil disables collection).
-// The StatsCollector is internally locked, so concurrent unit runs may
-// share it.
-func LintDirsParallelStats(loader *Loader, dirs []string, analyzers []*Analyzer, base string, workers int, stats *StatsCollector) ([]Diagnostic, error) {
-	var units []*Unit
-	for _, dir := range dirs {
-		us, err := loader.Load(dir)
-		if err != nil {
-			return nil, err
-		}
-		units = append(units, us...)
-	}
+// LintUnits runs the analyzers over every loaded unit and returns the
+// findings globally sorted by file:line:column:rule, with filenames
+// rewritten relative to base (when non-empty) so output is stable
+// regardless of where the tool runs from.
+//
+// The unit runs spread over workers goroutines (engine.Pool semantics:
+// <=0 means GOMAXPROCS, 1 is serial). A loaded Unit is immutable, the
+// shared FactStore is internally locked, and token.FileSet position
+// lookups are safe concurrently, so Run can fan out per unit. Results
+// are collected by index and then globally sorted, making the output
+// byte-identical to the serial run for any worker count. Per-analyzer
+// timing and finding counts accumulate into stats (nil disables
+// collection); the StatsCollector is internally locked, so concurrent
+// unit runs may share it.
+func LintUnits(units []*Unit, analyzers []*Analyzer, base string, workers int, stats *StatsCollector) ([]Diagnostic, error) {
 	perUnit := make([][]Diagnostic, len(units))
 	pool := engine.Pool{Workers: workers}
 	if err := pool.Map(len(units), func(i int) error {
-		perUnit[i] = RunStats(units[i], analyzers, stats)
+		perUnit[i] = Run(units[i], analyzers, stats)
 		return nil
 	}); err != nil {
 		return nil, err

@@ -26,10 +26,6 @@ package lint
 //     fields of a generation-keyed type (one whose generation field is
 //     somewhere assigned from NextGeneration()) and whether it bumps
 //     such a generation itself — the cachegen contract.
-//   - Concurrency effects (concsummary.go): per-parameter channel
-//     operations, WaitGroup deltas, may-block, and cancellation
-//     observation — the facts behind chanflow, wgbalance, mutexblock,
-//     and spawnctx.
 //
 // Summaries are computed once per type-checked package, keyed by
 // object identity (*types.Func), and are safe to read concurrently
@@ -227,37 +223,6 @@ type FuncSummary struct {
 	// generation-keyed value (so the bump can reach the caller's
 	// object).
 	BumpsGeneration bool
-
-	// Concurrency effects (concsummary.go). All facts are "may"
-	// facts: they claim an effect can happen on some execution, never
-	// that it must.
-
-	// ChanParams records, per channel-typed parameter index, which
-	// channel operations the body (or a summarized callee the
-	// parameter is forwarded to) may perform on it.
-	ChanParams map[int]ChanEffect
-	// WGParams records sync.WaitGroup effects per *sync.WaitGroup
-	// parameter index: Add deltas, Done calls, and Wait.
-	WGParams map[int]WGEffect
-	// MayBlock reports that calling the function can park the calling
-	// goroutine: a channel op outside a select-with-default, a
-	// WaitGroup/Cond Wait, time.Sleep, network or file I/O, or a call
-	// to a callee that may block. BlockWhy names the first source
-	// found, for diagnostics.
-	MayBlock bool
-	BlockWhy string
-	// ObservesCancel reports that the body (outside nested function
-	// literals and spawned goroutines) observes cancellation: a
-	// ctx.Done() receive, a ctx.Err() call, a comma-ok channel
-	// receive, a range over a channel, or a call to a callee that
-	// does.
-	ObservesCancel bool
-	// HasUnobservedLoop reports that the body contains an
-	// unconditional `for` loop with a cycle that passes no
-	// cancellation observation — a goroutine running this function
-	// can iterate forever without noticing ctx.Done() or a closed
-	// channel (the spawnctx fact).
-	HasUnobservedLoop bool
 }
 
 // Summary returns the recorded summary for fn, or nil when fn was
@@ -364,9 +329,6 @@ func (f *FactStore) refineSummary(info *types.Info, node *CGNode) bool {
 	}
 	if bump && !s.BumpsGeneration {
 		s.BumpsGeneration = true
-		changed = true
-	}
-	if f.refineConcurrency(info, node, s) {
 		changed = true
 	}
 	return changed
