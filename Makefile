@@ -59,8 +59,12 @@ bench-serve:
 	mv BENCH_serve.json.tmp BENCH_serve.json
 	@cat BENCH_serve.json
 
+# go vet plus a gofmt gate over every Go file outside testdata (the
+# lint fixtures seed their own layouts).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 lint:
 	$(GO) run ./cmd/teclint ./...

@@ -231,6 +231,9 @@ func TestLintWallTimeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short mode")
 	}
+	if raceEnabled {
+		t.Skip("timing gate skipped under the race detector")
+	}
 	code, stdout, stderr, elapsed := serialRepoSweep(t)
 	if code != 0 {
 		t.Fatalf("repo sweep failed (exit %d):\n%s%s", code, stdout, stderr)

@@ -9,17 +9,14 @@ import (
 	"tecopt/internal/obs"
 )
 
-// Span names of the per-current solve paths. A reusable.solve span's
-// "regime" attribute names which path served the current: "smw" (the
+// reusableSolveSpan is the span of one per-current solve. Its "regime"
+// attribute names which path served the current: "smw" (the
 // Sherman-Morrison-Woodbury fast path, including the rank-0 shortcut),
-// "direct" (memoized near-limit refactorization), "guarded" (SMW
-// residual check tripped, fell back to the guarded chain) or
-// "beyond-limit" (past lambda_m, expected indefinite).
-const (
-	reusableSolveSpan = "thermal.reusable.solve"
-	guardedSolveSpan  = "thermal.guarded.solve"
-	fallbackEvent     = "thermal.guarded.fallback"
-)
+// "direct" (memoized direct factorization of G - i*D) or
+// "beyond-limit" (past lambda_m, expected indefinite). A
+// "guard_reason" attribute marks a direct solve forced by a tripped
+// SMW conditioning guard.
+const reusableSolveSpan = "thermal.reusable.solve"
 
 // nameStat aggregates spans sharing a name.
 type nameStat struct {
@@ -52,8 +49,7 @@ type report struct {
 	critical     []pathStep
 	slowestSolve *obs.TraceEvent
 
-	fallbacks []obs.TraceEvent
-	dropped   uint64
+	dropped uint64
 }
 
 // analyze computes the report: per-regime solve counts, top spans by
@@ -80,9 +76,6 @@ func analyze(td *traceData, top int) *report {
 		}
 		if ev.Kind != "span" {
 			rep.points++
-			if ev.Name == fallbackEvent {
-				rep.fallbacks = append(rep.fallbacks, ev)
-			}
 			continue
 		}
 		rep.spans++
@@ -92,25 +85,15 @@ func analyze(td *traceData, top int) *report {
 		if end := ev.StartNS + ev.DurNS; end > maxEnd {
 			maxEnd = end
 		}
-		switch ev.Name {
-		case reusableSolveSpan:
+		if ev.Name == reusableSolveSpan {
 			regime := attr(ev, "regime")
 			if regime == "" {
 				regime = "(unknown)"
 			}
 			rep.regimes[regime]++
 			rep.regimeTotal++
-			if regime == "guarded" {
-				if reason := attr(ev, "guard_reason"); reason != "" {
-					rep.guardReasons[reason]++
-				}
-			}
-		case guardedSolveSpan:
-			// Standalone guarded solves (no reusable parent span) still
-			// count as solves; regime comes from the method used.
-			if !rep.hierarchical || parentName(td, byID, ev) != reusableSolveSpan {
-				rep.regimes["standalone-guarded"]++
-				rep.regimeTotal++
+			if reason := attr(ev, "guard_reason"); reason != "" {
+				rep.guardReasons[reason]++
 			}
 		}
 	}
@@ -133,14 +116,6 @@ func attr(ev obs.TraceEvent, key string) string {
 		if a.Key == key {
 			return a.Value
 		}
-	}
-	return ""
-}
-
-// parentName resolves the name of the span enclosing ev ("" at root).
-func parentName(td *traceData, byID map[uint64]int, ev obs.TraceEvent) string {
-	if i, ok := byID[ev.Parent]; ok {
-		return td.events[i].Name
 	}
 	return ""
 }
@@ -200,7 +175,7 @@ func topN(stats []nameStat, n int, key func(nameStat) int64) []nameStat {
 	return out
 }
 
-// criticalPath locates the slowest solve span (reusable or guarded),
+// criticalPath locates the slowest reusable solve span,
 // walks up to its root, then extends downward through the longest
 // child at each level. Requires hierarchy; returns nil for flat traces.
 func criticalPath(td *traceData, byID map[uint64]int, children map[uint64][]int) ([]pathStep, *obs.TraceEvent) {
@@ -210,7 +185,7 @@ func criticalPath(td *traceData, byID map[uint64]int, children map[uint64][]int)
 		if ev.Kind != "span" || ev.ID == 0 {
 			continue
 		}
-		if ev.Name != reusableSolveSpan && ev.Name != guardedSolveSpan {
+		if ev.Name != reusableSolveSpan {
 			continue
 		}
 		if slow == nil || ev.DurNS > slow.DurNS {
@@ -303,14 +278,6 @@ func (rep *report) format() string {
 
 	b.WriteString("\nDegradations:\n")
 	clean := true
-	if len(rep.fallbacks) > 0 {
-		clean = false
-		fmt.Fprintf(&b, "  %d guarded-chain fallback(s):\n", len(rep.fallbacks))
-		for _, ev := range rep.fallbacks {
-			fmt.Fprintf(&b, "    at %s: method %s failed (%s)\n",
-				durStr(ev.StartNS), attrOr(ev, "method", "?"), attrOr(ev, "reason", "unknown"))
-		}
-	}
 	for _, reason := range sortedKeys(rep.guardReasons) {
 		clean = false
 		fmt.Fprintf(&b, "  %d SMW guard trip(s): %s\n", rep.guardReasons[reason], reason)
@@ -332,14 +299,6 @@ func writeStatTable(b *strings.Builder, stats []nameStat, key func(nameStat) int
 		mean := key(s) / int64(s.count)
 		fmt.Fprintf(b, "  %-32s %8d %12s %12s\n", s.name, s.count, durStr(key(s)), durStr(mean))
 	}
-}
-
-// attrOr returns the attribute value or a fallback.
-func attrOr(ev obs.TraceEvent, key, fallback string) string {
-	if v := attr(ev, key); v != "" {
-		return v
-	}
-	return fallback
 }
 
 // attrSuffix renders a span's attributes as " {k=v, ...}".

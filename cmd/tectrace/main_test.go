@@ -16,8 +16,9 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // buildTrace records a small deterministic solve tree on a manual
-// clock: an optimize_current root with three reusable solves (one per
-// regime), a guarded fallback chain, a pool task on a worker track, a
+// clock: an optimize_current root with three reusable solves (fast
+// path, memoized near-limit factorization, and a direct solve forced by
+// an SMW guard trip), a pool task with a solve on a worker track, a
 // cache event, and a runaway probe.
 func buildTrace(t *testing.T) *obs.Registry {
 	t.Helper()
@@ -44,33 +45,26 @@ func buildTrace(t *testing.T) *obs.Registry {
 	clk.Advance(40 * time.Microsecond)
 	sp.End()
 
-	gctx, sp := r.StartSpanCtx(ctx, "thermal.reusable.solve") // id 4
+	_, sp = r.StartSpanCtx(ctx, "thermal.reusable.solve") // id 4
 	sp.AnnotateFloat("current", 2.0)
-	clk.Advance(5 * time.Microsecond)
-	r.EventCtx(gctx, "thermal.guarded.fallback", 1,
-		obs.Attr{Key: "method", Value: "band-cholesky"},
-		obs.Attr{Key: "reason", Value: "not_pd"})
-	_, gsp := r.StartSpanCtx(gctx, "thermal.guarded.solve") // id 5
-	clk.Advance(120 * time.Microsecond)
-	gsp.Annotate("method", "cg")
-	gsp.AnnotateInt("cg_iterations", 42)
-	gsp.Annotate("warm_start", "true")
-	gsp.End()
-	sp.Annotate("regime", "guarded")
-	sp.Annotate("guard_reason", "not_pd")
+	clk.Advance(125 * time.Microsecond)
+	sp.Annotate("guard_reason", "diverged")
+	sp.Annotate("regime", "direct")
+	sp.Annotate("near_memo", "false")
 	sp.End()
 
 	r.EventCtx(ctx, "core.runaway.probe", 4.7, obs.Attr{Key: "pd", Value: "false"})
 	root.End()
 
-	// One standalone guarded solve on a worker track (pool task).
+	// One fast-path solve inside a pool task on a worker track.
 	wctx := obs.ContextWithTrack(context.Background(), 2)
-	wctx, wsp := r.StartSpanCtx(wctx, "engine.pool.task") // id 6
+	wctx, wsp := r.StartSpanCtx(wctx, "engine.pool.task") // id 5
 	clk.Advance(time.Microsecond)
-	_, gsp = r.StartSpanCtx(wctx, "thermal.guarded.solve") // id 7
+	_, sp = r.StartSpanCtx(wctx, "thermal.reusable.solve") // id 6
+	sp.AnnotateFloat("current", 0.5)
+	sp.Annotate("regime", "smw")
 	clk.Advance(30 * time.Microsecond)
-	gsp.Annotate("method", "band-cholesky")
-	gsp.End()
+	sp.End()
 	wsp.End()
 	return r
 }
@@ -134,7 +128,7 @@ func TestFlatTraceDegradesGracefully(t *testing.T) {
 	clk := &obs.ManualClock{}
 	r := obs.New(clk)
 	r.EnableTrace(0) // flat: no flight recorder
-	sp := r.StartSpan("thermal.guarded.solve")
+	sp := r.StartSpan("core.runaway_limit")
 	clk.Advance(time.Millisecond)
 	sp.End()
 	r.Event("core.runaway_limit.bracket_hi", 4.5)
@@ -155,8 +149,11 @@ func TestFlatTraceDegradesGracefully(t *testing.T) {
 	if !strings.Contains(s, "flat trace") {
 		t.Errorf("flat trace not flagged:\n%s", s)
 	}
-	if !strings.Contains(s, "standalone-guarded") {
-		t.Errorf("flat guarded solve not counted:\n%s", s)
+	if !strings.Contains(s, "none recorded") {
+		t.Errorf("flat trace without solve spans not reported as such:\n%s", s)
+	}
+	if !strings.Contains(s, "core.runaway_limit") {
+		t.Errorf("flat span missing from the rankings:\n%s", s)
 	}
 }
 

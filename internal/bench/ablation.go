@@ -10,6 +10,7 @@ import (
 	"tecopt/internal/floorplan"
 	"tecopt/internal/material"
 	"tecopt/internal/power"
+	"tecopt/internal/sparse"
 	"tecopt/internal/thermal"
 )
 
@@ -99,10 +100,11 @@ func RunSolverAblation() ([]SolverAblationRow, error) {
 	tDirect := time.Since(start)
 
 	start = time.Now()
-	cg, err := thermal.SolveSteady(m, rhs, thermal.MethodCG)
+	pcg, err := sparse.SolveCG(m, rhs, sparse.CGOptions{Tol: 1e-12, Precond: sparse.NewBestPreconditioner(m)})
 	if err != nil {
 		return nil, err
 	}
+	cg := pcg.X
 	tCG := time.Since(start)
 
 	var maxDiff float64

@@ -120,8 +120,8 @@ func TestSolvePathOptimizeCurrentAgrees(t *testing.T) {
 	}
 }
 
-// A fault-forced guard trip must route SolveAt through the guarded
-// fallback without changing the answer.
+// A fault-forced guard trip must route SolveAt through the direct
+// factorization of G - i*D: bit-identical to the SolveDirect path.
 func TestSolvePathGuardFallbackMatchesDirect(t *testing.T) {
 	cfg := smallConfig()
 	sites := []int{27, 28, 35, 36}
@@ -138,10 +138,6 @@ func TestSolvePathGuardFallbackMatchesDirect(t *testing.T) {
 		t.Fatalf("lambda = %v, want finite positive", lam)
 	}
 	i := 0.5 * lam
-	// Warm the reusable system (and its warm-start vector) first.
-	if _, err := auto.SolveAt(i); err != nil {
-		t.Fatal(err)
-	}
 	faults.Install(faults.New(3).Arm(faults.Rule{
 		Site: faults.SiteSMWGuard,
 		Kind: faults.KindNaN,
@@ -156,7 +152,7 @@ func TestSolvePathGuardFallbackMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := range xd {
-		if math.Abs(xa[k]-xd[k]) > 1e-6*(1+math.Abs(xd[k])) {
+		if !num.ExactEqual(xa[k], xd[k]) {
 			t.Fatalf("fallback node %d: auto %v, direct %v", k, xa[k], xd[k])
 		}
 	}

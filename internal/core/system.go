@@ -39,7 +39,7 @@ type Config struct {
 	// Cols*Rows.
 	TilePower []float64
 	// Solve selects the per-current solve strategy (default SolveAuto:
-	// the Sherman-Morrison-Woodbury fast path with guarded fallback).
+	// the Sherman-Morrison-Woodbury fast path with direct fallback).
 	Solve SolvePath
 }
 
@@ -50,8 +50,8 @@ type SolvePath int
 const (
 	// SolveAuto factors G once and applies per-current SMW corrections
 	// (thermal.ReusableSystem), falling back to direct factorization
-	// near the runaway limit and to the guarded chain when the
-	// capacitance matrix loses conditioning.
+	// of G - i*D near the runaway limit and whenever the capacitance
+	// matrix loses conditioning.
 	SolveAuto SolvePath = iota
 	// SolveDirect forces the legacy path: one banded Cholesky
 	// factorization per current, through the shared factor cache.

@@ -21,6 +21,7 @@ import (
 	"tecopt/internal/faults"
 	"tecopt/internal/material"
 	"tecopt/internal/num"
+	"tecopt/internal/sparse"
 	"tecopt/internal/tecerr"
 	"tecopt/internal/thermal"
 )
@@ -153,66 +154,56 @@ func TestChaosCancelMidSweep(t *testing.T) {
 	})
 }
 
-// TestChaosCGDivergenceFallsBack poisons every CG residual with NaN:
-// the divergence guard must classify the link as CodeDiverged, and the
-// guarded chain must recover on the banded direct solver with a result
-// matching the dense reference — degraded, recorded, and correct.
-func TestChaosCGDivergenceFallsBack(t *testing.T) {
-	pn, tp := tinyNetwork(t)
-	ref, err := pn.SolvePassive(tp, thermal.MethodDenseCholesky)
+// tinySteady assembles the tiny network's passive system G*theta = rhs
+// for the solver-level chaos cases.
+func tinySteady(t *testing.T, pn *thermal.PackageNetwork, tp []float64) (*sparse.CSR, []float64) {
+	t.Helper()
+	p, err := pn.PowerVector(tp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rhs := pn.Net.BaseRHS()
+	for i, v := range p {
+		rhs[i] += v
+	}
+	return pn.Net.G(), rhs
+}
+
+// TestChaosCGDivergenceFallsBack poisons every CG residual with NaN:
+// the divergence guard must stop the iteration and classify it as
+// CodeDiverged instead of returning a NaN solution.
+func TestChaosCGDivergenceFallsBack(t *testing.T) {
+	pn, tp := tinyNetwork(t)
+	g, rhs := tinySteady(t, pn, tp)
 	faults.Install(faults.New(4).Arm(faults.Rule{
 		Site: faults.SiteCGResidual, Kind: faults.KindNaN,
 	}))
 	defer faults.Uninstall()
-	theta, rep, err := pn.SolveSteadyGuarded(context.Background(), tp, thermal.GuardedOptions{
-		Chain: []thermal.Method{thermal.MethodCG, thermal.MethodBandCholesky},
-	})
-	if err != nil {
-		t.Fatalf("guarded solve failed outright: %v", err)
+	res, err := sparse.SolveCG(g, rhs, sparse.CGOptions{Tol: 1e-12, Precond: sparse.NewBestPreconditioner(g)})
+	if !errors.Is(err, tecerr.ErrDiverged) {
+		t.Fatalf("NaN residual surfaced as %v, want CodeDiverged", err)
 	}
-	if !rep.Degraded || rep.Method != thermal.MethodBandCholesky {
-		t.Fatalf("report = %+v, want degraded band-Cholesky recovery", rep)
-	}
-	if len(rep.Attempts) != 1 || !errors.Is(rep.Attempts[0].Err, tecerr.ErrDiverged) {
-		t.Fatalf("CG attempt recorded as %v, want CodeDiverged", rep.Attempts)
-	}
-	for i := range ref {
-		if !num.EqualWithin(theta[i], ref[i], 1e-8) {
-			t.Fatalf("degraded result wrong at node %d: %g vs reference %g", i, theta[i], ref[i])
-		}
+	if res == nil || res.Iterations != 1 {
+		t.Fatalf("result = %+v, want the guard to stop at iteration 1", res)
 	}
 }
 
-// TestChaosCGNonConvergenceFallsBack forces the CG link to fail with an
-// injected iteration error (the forced non-convergence axis) and checks
-// the chain still lands on a correct direct solve.
+// TestChaosCGNonConvergenceFallsBack injects an error into the CG
+// iteration loop (the forced non-convergence axis) and checks it
+// propagates to the caller unchanged, with no iterations counted.
 func TestChaosCGNonConvergenceFallsBack(t *testing.T) {
 	pn, tp := tinyNetwork(t)
-	ref, err := pn.SolvePassive(tp, thermal.MethodDenseCholesky)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, rhs := tinySteady(t, pn, tp)
 	faults.Install(faults.New(5).Arm(faults.Rule{
 		Site: faults.SiteCGIteration, Kind: faults.KindError,
 	}))
 	defer faults.Uninstall()
-	theta, rep, err := pn.SolveSteadyGuarded(context.Background(), tp, thermal.GuardedOptions{})
-	if err != nil {
-		t.Fatalf("guarded solve failed outright: %v", err)
+	res, err := sparse.SolveCG(g, rhs, sparse.CGOptions{Tol: 1e-12, Precond: sparse.NewBestPreconditioner(g)})
+	if !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("injected iteration error surfaced as %v, want faults.ErrInjected", err)
 	}
-	if !rep.Degraded {
-		t.Fatalf("report = %+v, want a degraded recovery", rep)
-	}
-	if len(rep.Attempts) == 0 || !errors.Is(rep.Attempts[0].Err, faults.ErrInjected) {
-		t.Fatalf("CG attempt recorded as %v, want the injected error", rep.Attempts)
-	}
-	for i := range ref {
-		if !num.EqualWithin(theta[i], ref[i], 1e-8) {
-			t.Fatalf("degraded result wrong at node %d: %g vs reference %g", i, theta[i], ref[i])
-		}
+	if res == nil || res.Iterations != 0 {
+		t.Fatalf("result = %+v, want the error before the first iteration", res)
 	}
 }
 
@@ -224,7 +215,7 @@ func TestChaosPowerNaN(t *testing.T) {
 		Site: faults.SitePower, Kind: faults.KindNaN, OnHit: 3,
 	}))
 	defer faults.Uninstall()
-	_, _, err := pn.SolveSteadyGuarded(context.Background(), tp, thermal.GuardedOptions{})
+	_, err := pn.SolvePassive(tp, thermal.MethodAuto)
 	if !errors.Is(err, tecerr.ErrInvalidInput) {
 		t.Fatalf("NaN power surfaced as %v, want CodeInvalidInput", err)
 	}
@@ -232,37 +223,20 @@ func TestChaosPowerNaN(t *testing.T) {
 
 // TestChaosBandPerturbEscalatesToDense corrupts the banded
 // factorization's loaded band hard enough to destroy positive
-// definiteness. The chain must either recover on the dense reference
-// factorization (which reads the uncorrupted matrix) with a correct
-// answer, or fail typed as CodeNotPD — depending on whether the
-// corruption broke the factorization or merely bent it, in which case
-// only the dense link's answer is trustworthy.
+// definiteness. The direct solve must fail typed as CodeNotPD, never
+// return an answer from the corrupted factor; the dense reference
+// factorization reads the uncorrupted matrix and still solves it.
 func TestChaosBandPerturbEscalatesToDense(t *testing.T) {
 	pn, tp := tinyNetwork(t)
-	ref, err := pn.SolvePassive(tp, thermal.MethodDenseCholesky)
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults.Install(faults.New(7).Arm(faults.Rule{
 		Site: faults.SiteBandMatrix, Kind: faults.KindPerturb, Scale: 50,
 	}))
 	defer faults.Uninstall()
-	theta, rep, err := pn.SolveSteadyGuarded(context.Background(), tp, thermal.GuardedOptions{
-		Chain: []thermal.Method{thermal.MethodBandCholesky, thermal.MethodDenseCholesky},
-	})
-	if err != nil {
-		if !errors.Is(err, tecerr.ErrNotPD) {
-			t.Fatalf("band corruption surfaced as %v, want CodeNotPD", err)
-		}
-		return
+	if _, err := pn.SolvePassive(tp, thermal.MethodBandCholesky); !errors.Is(err, tecerr.ErrNotPD) {
+		t.Fatalf("band corruption surfaced as %v, want CodeNotPD", err)
 	}
-	if !rep.Degraded || rep.Method != thermal.MethodDenseCholesky {
-		t.Fatalf("report = %+v, want degraded dense recovery", rep)
-	}
-	for i := range ref {
-		if !num.EqualWithin(theta[i], ref[i], 1e-8) {
-			t.Fatalf("degraded result wrong at node %d: %g vs reference %g", i, theta[i], ref[i])
-		}
+	if _, err := pn.SolvePassive(tp, thermal.MethodDenseCholesky); err != nil {
+		t.Fatalf("dense reference under band corruption: %v", err)
 	}
 }
 
@@ -315,39 +289,33 @@ func TestChaosConjectureCancel(t *testing.T) {
 }
 
 // TestGuardedMatchesReferenceOnHealthySystems is the property half of
-// the suite: with no faults installed, every fallback chain — and every
-// individual link — must agree with the dense reference factorization
-// to solver tolerance. The fallback machinery must be invisible on
-// healthy systems.
+// the suite: with no faults installed, the production band solver and
+// IC(0)-preconditioned CG must agree with the dense reference
+// factorization to solver tolerance.
 func TestGuardedMatchesReferenceOnHealthySystems(t *testing.T) {
 	pn, tp := tinyNetwork(t)
 	uniform := make([]float64, len(tp))
 	for i := range uniform {
 		uniform[i] = 0.4
 	}
-	chains := map[string][]thermal.Method{
-		"default": nil,
-		"cg":      {thermal.MethodCG},
-		"band":    {thermal.MethodBandCholesky},
-		"dense":   {thermal.MethodDenseCholesky},
-	}
 	for name, tilePower := range map[string][]float64{"hotspot": tp, "uniform": uniform} {
 		ref, err := pn.SolvePassive(tilePower, thermal.MethodDenseCholesky)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for cname, chain := range chains {
-			theta, rep, err := pn.SolveSteadyGuarded(context.Background(), tilePower,
-				thermal.GuardedOptions{Chain: chain})
-			if err != nil {
-				t.Fatalf("%s/%s: healthy guarded solve failed: %v", name, cname, err)
-			}
-			if rep.Degraded {
-				t.Fatalf("%s/%s: healthy solve reported degraded: %+v", name, cname, rep)
-			}
+		band, err := pn.SolvePassive(tilePower, thermal.MethodBandCholesky)
+		if err != nil {
+			t.Fatalf("%s/band: healthy solve failed: %v", name, err)
+		}
+		g, rhs := tinySteady(t, pn, tilePower)
+		cg, err := sparse.SolveCG(g, rhs, sparse.CGOptions{Tol: 1e-12, Precond: sparse.NewBestPreconditioner(g)})
+		if err != nil {
+			t.Fatalf("%s/cg: healthy solve failed: %v", name, err)
+		}
+		for sname, theta := range map[string][]float64{"band": band, "cg": cg.X} {
 			for i := range ref {
 				if !num.EqualWithin(theta[i], ref[i], 1e-8) {
-					t.Fatalf("%s/%s: node %d: %g vs reference %g", name, cname, i, theta[i], ref[i])
+					t.Fatalf("%s/%s: node %d: %g vs reference %g", name, sname, i, theta[i], ref[i])
 				}
 			}
 		}

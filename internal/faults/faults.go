@@ -49,7 +49,8 @@ const (
 	SiteSweepPoint = "core.sweep.point"
 	// SiteSMWGuard filters the capacitance-matrix conditioning margin of
 	// every Sherman-Morrison-Woodbury correction, so chaos tests can
-	// force the guard to trip and exercise the guarded-chain fallback.
+	// force the guard to trip and exercise the direct-factorization
+	// fallback.
 	SiteSMWGuard = "sparse.smw.guard"
 	// SiteServeAdmit fires as the serving layer (tecserve) classifies a
 	// request, before admission control — faults here exercise the
@@ -99,9 +100,9 @@ const (
 type Rule struct {
 	Site  string
 	Kind  Kind
-	OnHit uint64  // fire on this 1-based hit only
-	Every uint64  // fire on every Every-th hit
-	Prob  float64 // fire each hit with this probability (seed-keyed)
+	OnHit uint64        // fire on this 1-based hit only
+	Every uint64        // fire on every Every-th hit
+	Prob  float64       // fire each hit with this probability (seed-keyed)
 	Err   error         // KindError payload; nil uses a generic injected error
 	Scale float64       // KindPerturb relative amplitude
 	Call  func()        // KindCall payload

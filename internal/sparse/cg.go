@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"context"
 	"errors"
 	"math"
 
@@ -74,8 +73,6 @@ type CGOptions struct {
 	MaxIter int
 	// Precond supplies the preconditioner. Defaults to Jacobi.
 	Precond Preconditioner
-	// X0 is the starting guess (zero vector when nil).
-	X0 []float64
 	// DivergenceWindow is how many consecutive residual-growth
 	// iterations the divergence guard tolerates before aborting with a
 	// tecerr.CodeDiverged error (the residual must also sit well above
@@ -97,19 +94,12 @@ type CGResult struct {
 // non-convergence or divergence error); when observability is enabled
 // they are also reported under "sparse.cg.*".
 func SolveCG(a *CSR, b []float64, opt CGOptions) (*CGResult, error) {
-	return SolveCGCtx(context.Background(), a, b, opt)
-}
-
-// SolveCGCtx is SolveCG with cancellation: the iteration loop polls ctx
-// and aborts with a tecerr.CodeCancelled error carrying the partial
-// iterate.
-func SolveCGCtx(ctx context.Context, a *CSR, b []float64, opt CGOptions) (*CGResult, error) {
 	r := obs.Enabled()
 	if r == nil {
-		return solveCG(ctx, a, b, opt)
+		return solveCG(a, b, opt)
 	}
 	start := r.Now()
-	res, err := solveCG(ctx, a, b, opt)
+	res, err := solveCG(a, b, opt)
 	r.Counter("sparse.cg.solves").Inc()
 	r.Histogram("sparse.cg.solve_ns").Observe(clampNS(r.Now() - start))
 	if res != nil {
@@ -122,8 +112,6 @@ func SolveCGCtx(ctx context.Context, a *CSR, b []float64, opt CGOptions) (*CGRes
 		r.Counter("sparse.cg.not_converged").Inc()
 	case errors.Is(err, ErrBreakdown):
 		r.Counter("sparse.cg.breakdowns").Inc()
-	case errors.Is(err, tecerr.ErrCancelled):
-		r.Counter("sparse.cg.cancelled").Inc()
 	case errors.Is(err, tecerr.ErrDiverged):
 		r.Counter("sparse.cg.diverged").Inc()
 	}
@@ -131,7 +119,7 @@ func SolveCGCtx(ctx context.Context, a *CSR, b []float64, opt CGOptions) (*CGRes
 }
 
 // solveCG is the uninstrumented CG implementation.
-func solveCG(ctx context.Context, a *CSR, b []float64, opt CGOptions) (*CGResult, error) {
+func solveCG(a *CSR, b []float64, opt CGOptions) (*CGResult, error) {
 	n := a.Rows()
 	if a.Cols() != n {
 		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "sparse.cg",
@@ -157,26 +145,13 @@ func solveCG(ctx context.Context, a *CSR, b []float64, opt CGOptions) (*CGResult
 		opt.DivergenceWindow = 25
 	}
 
+	// The iteration starts from x = 0, so the initial residual is b.
 	x := make([]float64, n)
-	if opt.X0 != nil {
-		if len(opt.X0) != n {
-			return nil, tecerr.Newf(tecerr.CodeInvalidInput, "sparse.cg",
-				"sparse: CG x0 length %d, want %d", len(opt.X0), n)
-		}
-		copy(x, opt.X0)
-	}
-
 	r := make([]float64, n)
-	a.MulVecTo(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
+	copy(r, b)
 	normB := norm2(b)
 	if num.IsZero(normB) {
 		return &CGResult{X: x, Iterations: 0, Residual: 0}, nil
-	}
-	if norm2(r)/normB <= opt.Tol {
-		return &CGResult{X: x, Iterations: 0, Residual: norm2(r) / normB}, nil
 	}
 
 	z := make([]float64, n)
@@ -193,12 +168,6 @@ func solveCG(ctx context.Context, a *CSR, b []float64, opt CGOptions) (*CGResult
 	growth := 0
 
 	for k := 1; k <= opt.MaxIter; k++ {
-		if k&31 == 0 {
-			if err := ctx.Err(); err != nil {
-				return &CGResult{X: x, Iterations: k - 1, Residual: prev},
-					tecerr.Cancelled("sparse.cg", err)
-			}
-		}
 		if err := faults.Check(faults.SiteCGIteration); err != nil {
 			return &CGResult{X: x, Iterations: k - 1, Residual: prev}, err
 		}

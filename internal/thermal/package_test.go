@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"tecopt/internal/mat"
 	"tecopt/internal/material"
 	"tecopt/internal/power"
+	"tecopt/internal/sparse"
+	"tecopt/internal/tecerr"
 )
 
 func defaultPN(t *testing.T, tecSites map[int]bool) *PackageNetwork {
@@ -289,4 +292,80 @@ func TestGStructureFullPackage(t *testing.T) {
 			}
 		}
 	}
+}
+
+// testPackage builds the default package with a mild power profile and
+// returns the network plus its assembled system.
+func testPackage(t *testing.T) (*PackageNetwork, *sparse.CSR, []float64) {
+	t.Helper()
+	pn, err := BuildPackage(material.DefaultPackage(), DefaultBuildOptions())
+	if err != nil {
+		t.Fatalf("BuildPackage: %v", err)
+	}
+	tile := make([]float64, pn.NumTiles())
+	for i := range tile {
+		tile[i] = 0.5 + 0.01*float64(i%7)
+	}
+	p, err := pn.PowerVector(tile)
+	if err != nil {
+		t.Fatalf("PowerVector: %v", err)
+	}
+	rhs := pn.Net.BaseRHS()
+	for i, v := range p {
+		rhs[i] += v
+	}
+	return pn, pn.Net.G(), rhs
+}
+
+func TestPackageNetworkValidate(t *testing.T) {
+	pn, _, _ := testPackage(t)
+	if err := pn.Validate(); err != nil {
+		t.Fatalf("Validate on a healthy package: %v", err)
+	}
+}
+
+func TestNetworkValidateRejectsDegenerateNetworks(t *testing.T) {
+	empty := NewNetwork()
+	if err := empty.Validate(); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Fatalf("empty network: %v", err)
+	}
+	ungrounded := NewNetwork()
+	a := ungrounded.AddNode(Node{Kind: KindSilicon})
+	b := ungrounded.AddNode(Node{Kind: KindTIM})
+	ungrounded.AddConductance(a, b, 1)
+	if err := ungrounded.Validate(); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Fatalf("ungrounded network: %v", err)
+	}
+	isolated := NewNetwork()
+	c := isolated.AddNode(Node{Kind: KindSilicon})
+	isolated.AddNode(Node{Kind: KindTIM}) // never wired
+	isolated.AddGround(c, 1, 300)
+	if err := isolated.Validate(); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Fatalf("isolated node: %v", err)
+	}
+}
+
+func TestPowerVectorRejectsNonFinite(t *testing.T) {
+	pn, _, _ := testPackage(t)
+	tile := make([]float64, pn.NumTiles())
+	tile[3] = math.NaN()
+	if _, err := pn.PowerVector(tile); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Fatalf("NaN power: %v", err)
+	}
+	tile[3] = math.Inf(1)
+	if _, err := pn.PowerVector(tile); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Fatalf("Inf power: %v", err)
+	}
+}
+
+func TestAddConductancePanicsOnNaN(t *testing.T) {
+	n := NewNetwork()
+	a := n.AddNode(Node{Kind: KindSilicon})
+	b := n.AddNode(Node{Kind: KindTIM})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NaN conductance did not panic")
+		}
+	}()
+	n.AddConductance(a, b, math.NaN())
 }

@@ -27,11 +27,10 @@ import (
 // Near the limit the capacitance matrix approaches singularity, so
 // within a relative window around lambda SolveAtCurrent defers to an
 // authoritative direct factorization of the shifted matrix (memoized
-// for repeated solves at one current); should the conditioning guard
-// trip outside that window — or under fault injection — it falls back
-// to the SolveGuarded chain, warm-started from the last solution and
-// preconditioned with the base matrix's IC(0), and reports the
-// degradation in the GuardedReport.
+// for repeated solves at one current). Should the conditioning guard
+// trip outside that window — or under fault injection — the same
+// direct factorization answers, and the GuardedReport marks the
+// result Degraded.
 //
 // All methods are safe for concurrent use.
 type ReusableSystem struct {
@@ -45,17 +44,24 @@ type ReusableSystem struct {
 	// near-limit band handled by direct factorization.
 	lambda float64
 	window float64
-	// pre is the base matrix's preconditioner, shared by every guarded
-	// fallback (IC(0) of G stays effective for the nearby shifts).
-	pre sparse.Preconditioner
-	// near memoizes the last in-window direct factorization; warm holds
-	// the last solution for CG warm starts.
+	// near memoizes the last direct factorization of G - i*D.
 	near atomic.Pointer[nearFactor]
-	warm atomic.Pointer[[]float64]
 }
 
-// nearFactor is one memoized direct factorization of G - i*D inside the
-// near-limit window (err keeps a not-PD outcome without refactoring).
+// GuardedReport describes which path produced a SolveAtCurrent answer.
+type GuardedReport struct {
+	// Method is MethodSMW for the fast path and MethodBandCholesky for
+	// a direct factorization of the shifted matrix.
+	Method Method
+	// Degraded is true when the SMW conditioning guard tripped and the
+	// direct factorization answered instead: the result is correct but
+	// came off the fast path. Callers that must surface this can wrap
+	// it via tecerr.CodeDegraded.
+	Degraded bool
+}
+
+// nearFactor is one memoized direct factorization of G - i*D (err
+// keeps a not-PD outcome without refactoring).
 type nearFactor struct {
 	i   float64
 	f   *Factorization
@@ -96,7 +102,6 @@ func NewReusableSystem(g *sparse.CSR, d []float64, perm []int) (*ReusableSystem,
 		smw:    smw,
 		lambda: smw.Lambda(),
 		window: reusableWindow,
-		pre:    sparse.NewBestPreconditioner(g),
 	}
 	if r := obs.Enabled(); r != nil {
 		r.Counter("thermal.reusable.setups").Inc()
@@ -119,10 +124,10 @@ func (rs *ReusableSystem) Rank() int { return rs.smw.Rank() }
 func (rs *ReusableSystem) PD(i float64) bool { return i < rs.lambda }
 
 // SolveAtCurrent solves (G - i*D) theta = rhs. The report says which
-// path produced the solution: MethodSMW for the fast path, a direct or
-// guarded method otherwise (Degraded with the SMW attempt recorded when
-// the conditioning guard forced the fallback). Currents at or beyond
-// the runaway limit return ErrNotPD, matching the direct path.
+// path produced the solution: MethodSMW for the fast path,
+// MethodBandCholesky for a direct factorization (Degraded when the
+// conditioning guard forced it). Currents at or beyond the runaway
+// limit return ErrNotPD, matching the direct path.
 func (rs *ReusableSystem) SolveAtCurrent(ctx context.Context, i float64, rhs []float64) ([]float64, *GuardedReport, error) {
 	if !num.IsFinite(i) {
 		return nil, nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.reusable",
@@ -139,7 +144,7 @@ func (rs *ReusableSystem) SolveAtCurrent(ctx context.Context, i float64, rhs []f
 		// regime this solve took; it exists only in flight mode so flat
 		// traces stay byte-compatible. Annotate is a no-op on the zero
 		// Span, so the regime paths below annotate unconditionally.
-		ctx, sp = r.StartSpanCtx(ctx, "thermal.reusable.solve")
+		_, sp = r.StartSpanCtx(ctx, "thermal.reusable.solve")
 		sp.AnnotateFloat("current", i)
 		defer sp.End()
 	}
@@ -179,9 +184,6 @@ func (rs *ReusableSystem) SolveAtCurrent(ctx context.Context, i float64, rhs []f
 			r.Counter("thermal.reusable.smw_hits").Inc()
 		}
 		sp.Annotate("regime", "smw")
-		warm := make([]float64, len(y))
-		copy(warm, y)
-		rs.warm.Store(&warm)
 		return y, &GuardedReport{Method: MethodSMW}, nil
 	}
 	if errors.Is(cerr, tecerr.ErrInvalidInput) {
@@ -189,55 +191,39 @@ func (rs *ReusableSystem) SolveAtCurrent(ctx context.Context, i float64, rhs []f
 	}
 	// Conditioning guard tripped (organically outside the near-limit
 	// window only for pathological spectra, or under fault injection):
-	// escalate through the guarded chain with the warm start and the
-	// shared base preconditioner, and record the degradation.
+	// the direct factorization of G - i*D answers, as inside the window.
 	if r != nil {
 		r.Counter("thermal.reusable.fallbacks").Inc()
 	}
-	sp.Annotate("regime", "guarded")
 	sp.Annotate("guard_reason", tecerr.CodeOf(cerr).String())
-	opts := GuardedOptions{Precond: rs.pre}
-	if warm := rs.warm.Load(); warm != nil {
-		opts.X0 = *warm
-		if r != nil {
-			r.Counter("thermal.reusable.warm_start_solves").Inc()
-		}
-	}
-	sp.Annotate("warm_start", strconv.FormatBool(opts.X0 != nil))
-	x, rep, err := SolveGuarded(ctx, rs.shifted(i), rhs, opts)
+	x, rep, err := rs.solveDirect(i, rhs, sp)
 	if err != nil {
 		return nil, nil, err
 	}
 	rep.Degraded = true
-	rep.Attempts = append([]GuardedAttempt{{Method: MethodSMW, Err: cerr}}, rep.Attempts...)
-	if r != nil && rep.Stats.Iterative {
-		r.Counter("thermal.reusable.warm_start_iterations").Add(uint64(rep.Stats.CGIterations))
-	}
-	warm := make([]float64, len(x))
-	copy(warm, x)
-	rs.warm.Store(&warm)
 	return x, rep, nil
 }
 
-// shifted materializes G - i*D.
-func (rs *ReusableSystem) shifted(i float64) *sparse.CSR {
-	return rs.g.AddScaledDiag(-i, rs.d)
-}
-
-// solveNear handles currents inside the near-limit window with a
-// memoized direct factorization: deterministic, authoritative on
-// ErrNotPD, and amortized across repeated solves at one current (the
-// h_kl column sweeps solve many right-hand sides at the same i).
+// solveNear handles currents inside the near-limit window, where the
+// direct factorization is the authority on ErrNotPD.
 func (rs *ReusableSystem) solveNear(i float64, rhs []float64, sp obs.Span) ([]float64, *GuardedReport, error) {
 	if r := obs.Enabled(); r != nil {
 		r.Counter("thermal.reusable.near_limit").Inc()
 	}
+	return rs.solveDirect(i, rhs, sp)
+}
+
+// solveDirect solves at current i with a memoized direct factorization
+// of G - i*D: deterministic, and amortized across repeated solves at
+// one current (the h_kl column sweeps solve many right-hand sides at
+// the same i).
+func (rs *ReusableSystem) solveDirect(i float64, rhs []float64, sp obs.Span) ([]float64, *GuardedReport, error) {
 	sp.Annotate("regime", "direct")
 	nf := rs.near.Load()
 	memo := nf != nil && num.ExactEqual(nf.i, i)
 	sp.Annotate("near_memo", strconv.FormatBool(memo))
 	if !memo {
-		f, err := Factor(rs.shifted(i), rs.perm)
+		f, err := Factor(rs.g.AddScaledDiag(-i, rs.d), rs.perm)
 		nf = &nearFactor{i: i, f: f, err: err}
 		rs.near.Store(nf)
 	}

@@ -1,8 +1,6 @@
 package thermal
 
 import (
-	"errors"
-
 	"tecopt/internal/faults"
 	"tecopt/internal/mat"
 	"tecopt/internal/num"
@@ -19,8 +17,6 @@ const (
 	MethodAuto Method = iota
 	// MethodBandCholesky forces the RCM + banded direct solver.
 	MethodBandCholesky
-	// MethodCG forces the preconditioned conjugate-gradient solver.
-	MethodCG
 	// MethodDenseCholesky forces a dense O(n^3) factorization — the
 	// paper's stated method, practical for small models and useful as a
 	// reference in solver-equivalence tests.
@@ -38,8 +34,6 @@ func (m Method) String() string {
 		return "auto"
 	case MethodBandCholesky:
 		return "band-cholesky"
-	case MethodCG:
-		return "cg"
 	case MethodDenseCholesky:
 		return "dense-cholesky"
 	case MethodSMW:
@@ -94,52 +88,15 @@ func (f *Factorization) Solve(b []float64) ([]float64, error) {
 	return sparse.PermuteVec(f.inv, xp), nil
 }
 
-// SolveStats reports per-solve statistics of the iterative path. For
-// the direct methods it is the zero value (Iterative == false).
-type SolveStats struct {
-	// Iterative is true when the solve used CG; the remaining fields
-	// are meaningful only then.
-	Iterative bool
-	// CGIterations is the iteration count the CG solve performed.
-	CGIterations int
-	// CGResidual is the final relative residual ||r|| / ||b||.
-	CGResidual float64
-}
-
 // SolveSteady solves G*theta = rhs with the selected method.
 func SolveSteady(g *sparse.CSR, rhs []float64, m Method) ([]float64, error) {
-	theta, _, err := SolveSteadyStats(g, rhs, m)
-	return theta, err
-}
-
-// SolveSteadyStats solves G*theta = rhs with the selected method and
-// returns the solve statistics — for MethodCG, the iteration count and
-// final residual that SolveSteady would otherwise discard.
-func SolveSteadyStats(g *sparse.CSR, rhs []float64, m Method) ([]float64, SolveStats, error) {
-	var st SolveStats
 	switch m {
 	case MethodAuto, MethodBandCholesky:
 		f, err := Factor(g, nil)
 		if err != nil {
-			return nil, st, err
+			return nil, err
 		}
-		theta, err := f.Solve(rhs)
-		return theta, st, err
-	case MethodCG:
-		res, err := sparse.SolveCG(g, rhs, sparse.CGOptions{
-			Tol:     1e-12,
-			Precond: sparse.NewBestPreconditioner(g),
-		})
-		if res != nil {
-			st = SolveStats{Iterative: true, CGIterations: res.Iterations, CGResidual: res.Residual}
-		}
-		if err != nil {
-			if errors.Is(err, sparse.ErrBreakdown) {
-				return nil, st, ErrNotPD
-			}
-			return nil, st, err
-		}
-		return res.X, st, nil
+		return f.Solve(rhs)
 	case MethodDenseCholesky:
 		n := g.Rows()
 		d := mat.NewDense(n, n)
@@ -151,11 +108,11 @@ func SolveSteadyStats(g *sparse.CSR, rhs []float64, m Method) ([]float64, SolveS
 		}
 		chol, err := mat.NewCholesky(d)
 		if err != nil {
-			return nil, st, ErrNotPD
+			return nil, ErrNotPD
 		}
-		return chol.Solve(rhs), st, nil
+		return chol.Solve(rhs), nil
 	default:
-		return nil, st, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.solve",
+		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.solve",
 			"thermal: unknown method %d", m)
 	}
 }
